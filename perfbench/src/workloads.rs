@@ -79,7 +79,7 @@ impl Workload {
         match self {
             Workload::Replay => {
                 "ops_per_s = replay_sat_ops_per_s (goodput at the overload rate); \
-                 pass_ops_per_s = ops offered over both passes / their wall time"
+                 pass_ops_per_s = ops offered over all passes / their wall time"
             }
             _ => {
                 "ops_per_s = gen_ops_per_s (op records / DES call); \
@@ -106,12 +106,15 @@ pub const REPLAY_LOW_OPS_PER_S: f64 = 70_000.0;
 pub const REPLAY_HIGH_OPS_PER_S: f64 = 4_000_000.0;
 /// Replay setups timed per rep; the median is reported (one setup takes
 /// well under a millisecond).
-const REPLAY_SETUPS: usize = 21;
-/// Overload passes per rep; their median goodput is the rep's `ops_per_s`
-/// (one pass lasts only a few hundred milliseconds).
-const REPLAY_OVERLOAD_PASSES: usize = 5;
-/// Unmeasured overload passes before the measured ones (about 2 s).
-const REPLAY_WARMUP_PASSES: usize = 12;
+const REPLAY_SETUPS: usize = 201;
+/// Measured overload passes per rep (one lasts 0.1–0.2 s); their median
+/// goodput is the rep's `ops_per_s`. On the reference host a single pass's
+/// goodput swings by up to 3× with interference, so a rep takes many.
+const REPLAY_OVERLOAD_PASSES: usize = 24;
+/// Unmeasured overload passes first: right after the low-rate pass leaves
+/// the CPUs mostly idle, the reference host runs the next ~1.5 s of busy
+/// work at about a third of its steady speed.
+const REPLAY_WARMUP_PASSES: usize = 8;
 
 /// Any failure of a rep, as text for the report.
 pub type RepError = Box<dyn std::error::Error>;
@@ -256,8 +259,10 @@ pub fn run_generation<S: LogSink>(
         times.files = env.catalog.len();
         envs.push(env);
     }
-    let sink = sink()?;
     times.setup_s = t0.elapsed().as_secs_f64();
+    // Opening the sink (a file create on capture) is I/O, not set-up work;
+    // the caller's wall time still counts it.
+    let sink = sink()?;
     let t = Instant::now();
     let (sink, stats) = match sharded {
         Some(shards) => ShardedDesDriver::new().run_spill_streamed(
@@ -353,11 +358,6 @@ fn generate<S: LogSink>(
     let events = stats.events as f64;
     rep.put("fsc.generate_s", times.generate_s);
     rep.put("fsc.files", times.files as f64);
-    // Counted on a separate build after the timed run: counting slows
-    // allocation.
-    let (fs, live_bytes) = trace::retained_bytes(|| spec.generate_fs());
-    drop(fs?);
-    rep.put("fsc.live_mb", live_bytes as f64 / 1e6);
     rep.put("distr.compile_s", times.compile_s);
     rep.put("netfs.stages_s", stages_s);
     rep.put("netfs.stages_calls", stages_calls as f64);
@@ -372,18 +372,33 @@ fn generate<S: LogSink>(
     Ok((sink.inner, stats, times))
 }
 
+/// `fsc.live_mb`: the heap bytes one `generate_fs` call leaves live,
+/// counted on a separate build after every timed stage (counting slows
+/// allocation).
+fn put_fsc_live_mb(rep: &mut Rep, workload: Workload, seed: u64) -> Result<(), RepError> {
+    let spec = load_spec(workload.spec_json(), seed)?;
+    let (fs, live_bytes) = trace::retained_bytes(|| spec.generate_fs());
+    drop(fs?);
+    rep.put("fsc.live_mb", live_bytes as f64 / 1e6);
+    Ok(())
+}
+
 fn summary_rep(workload: Workload, seed: u64, traced: bool) -> Result<Rep, RepError> {
     let mut rep = Rep::default();
     let t0 = Instant::now();
     let (sink, stats, times) =
         generate(&mut rep, workload, seed, traced, || Ok(SummarySink::new()))?;
     let wall_s = t0.elapsed().as_secs_f64();
+    if traced {
+        put_fsc_live_mb(&mut rep, workload, seed)?;
+    }
     rep.check(sink.ops > 0, || "the run emitted no ops".into());
     rep.fingerprint = fingerprint(&sink, &stats);
     rep.put("setup_s", times.setup_s);
     rep.put("wall_s", wall_s);
     rep.put("pass_ops_per_s", sink.ops as f64 / wall_s);
     rep.put("ops_per_s", sink.ops as f64 / times.des_s);
+    rep.put("gen_ops_per_s", sink.ops as f64 / times.des_s);
     rep.put("des_s", times.des_s);
     Ok(rep)
 }
@@ -421,6 +436,7 @@ fn capture_rep(seed: u64, traced: bool, work: &Path) -> Result<Rep, RepError> {
     let wall_s = t0.elapsed().as_secs_f64();
 
     if traced {
+        put_fsc_live_mb(&mut rep, Workload::Capture, seed)?;
         // The bare decode pass, after the timed stages so it warms nothing
         // for them: what `analyze` costs before aggregation.
         let t = Instant::now();
@@ -468,6 +484,7 @@ fn capture_rep(seed: u64, traced: bool, work: &Path) -> Result<Rep, RepError> {
     rep.put("wall_s", wall_s);
     rep.put("pass_ops_per_s", summary.ops as f64 / wall_s);
     rep.put("ops_per_s", summary.ops as f64 / times.des_s);
+    rep.put("gen_ops_per_s", summary.ops as f64 / times.des_s);
     rep.put("des_s", times.des_s);
     rep.put("run_s", run_s);
     rep.put("analyze_s", analyze_s);
@@ -637,9 +654,6 @@ fn replay_rep(fixture: &ReplayFixture, traced: bool) -> Result<Rep, RepError> {
     check_drive(&mut rep, &low, fixture, "low-rate pass");
     let high = fixture.speedup_for(REPLAY_HIGH_OPS_PER_S);
     let mut offered = low.offered;
-    // The low-rate pass leaves the CPUs mostly idle, and on the reference
-    // host the first ~1.5 s of busy work after idling runs at about a third
-    // of the steady speed; unmeasured overload passes ride that out.
     for _ in 0..REPLAY_WARMUP_PASSES {
         let (pass, _) = drive_pass(fixture, high, None)?;
         check_drive(&mut rep, &pass, fixture, "warm-up pass");
@@ -668,6 +682,7 @@ fn replay_rep(fixture: &ReplayFixture, traced: bool) -> Result<Rep, RepError> {
     rep.put("wall_s", wall_s);
     rep.put("pass_ops_per_s", offered as f64 / wall_s);
     rep.put("ops_per_s", goodputs[goodputs.len() / 2]);
+    rep.put("replay_sat_ops_per_s", goodputs[goodputs.len() / 2]);
     rep.put("replay_p50_us", low.latency.quantile(0.50) as f64);
     rep.put("replay_p99_us", low.latency.quantile(0.99) as f64);
     rep.put("replay_samples", low.latency.count() as f64);
