@@ -6,9 +6,9 @@
 //! ```
 //!
 //! Runs repetitions ("reps") of one workload, each in a fresh child
-//! process so that set-up time and peak memory are what a user starting
-//! `uswg` sees, until `--seconds` have passed. Prints a human-readable
-//! report, then, as the last line, one JSON object:
+//! process so that peak memory is what a user starting `uswg` sees, until
+//! `--seconds` have passed. Prints a human-readable report, then, as the
+//! last line, one JSON object:
 //! `{"correct", "attempted", "failed", "metrics"}`, where every metric is
 //! the median over the reps. `--trace 0` reports the end-to-end metrics;
 //! `--trace 1` alternates untraced and traced reps and reports the

@@ -33,14 +33,16 @@ fn decorated_runs_write_the_same_summary_and_spill_bytes() {
     for shards in [1, 2] {
         let json = small_spec(shards);
         let ((summary, spill), stats, _) =
-            run_generation(&json, SEED, &model, tee, None).expect("plain run");
+            run_generation(&json, SEED, &model, 1, tee, None).expect("plain run");
         let spill = spill.finish().expect("plain spill");
 
         let clocks: Vec<Arc<LayerClock>> = (0..shards).map(|_| Arc::default()).collect();
+        // Several set-ups before the run must leave it unchanged too.
         let (timed, timed_stats, _) = run_generation(
             &json,
             SEED,
             &model,
+            3,
             || Ok(TimedSink::new(tee()?)),
             Some(&clocks),
         )
@@ -87,6 +89,7 @@ fn a_changed_seed_trips_the_fingerprint_check() {
             &json,
             seed,
             &ModelConfig::default_nfs(),
+            1,
             || Ok(SummarySink::new()),
             None,
         )
